@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -302,21 +303,68 @@ func TestServeReconstructCacheHit(t *testing.T) {
 	}
 }
 
-// Error responses must not be cached or stamped with the cache header.
+// Error responses must not be cached or stamped with the cache header, and
+// an invalid histogram is rejected before the cache is consulted: it counts
+// as neither a hit nor a miss.
 func TestServeCacheSkipsErrors(t *testing.T) {
+	srv, err := newServer(hammer.Config{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	for _, body := range []string{
+		`{"01": 1, "001": 1}`, // mixed widths
+		`{"0x": 1}`,
+		`{"01": -1, "10": 2}`,
+		`{"01": 0}`,
+		`{"counts": {"01": 1, "001": 1}}`,
+	} {
+		for i := 0; i < 2; i++ {
+			resp, err := http.Post(ts.URL+"/v1/reconstruct", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: status %d", body, resp.StatusCode)
+			}
+			if got := resp.Header.Get("X-Hammer-Cache"); got != "" {
+				t.Errorf("%s: error response %d carried X-Hammer-Cache=%q", body, i, got)
+			}
+		}
+	}
+	if hits, misses := srv.cache.Hits(), srv.cache.Misses(); hits != 0 || misses != 0 {
+		t.Errorf("invalid bodies counted %d hits, %d misses; want none", hits, misses)
+	}
+	if out := scrape(t, ts.URL); !strings.Contains(out, "hammer_cache_misses_total 0\n") {
+		t.Errorf("hammer_cache_misses_total moved on invalid bodies:\n%s", out)
+	}
+}
+
+// TestServeCacheSpellingsShareEntry: the bare spelling, the wrapped
+// spelling, a permuted key order, and a whitespace variant of one histogram
+// decode to one canonical form, so after the first miss each is a hit with
+// the byte-identical body.
+func TestServeCacheSpellingsShareEntry(t *testing.T) {
 	ts := newTestServer(t, hammer.Config{}, 1)
-	for i := 0; i < 2; i++ {
-		resp, err := http.Post(ts.URL+"/v1/reconstruct", "application/json",
-			strings.NewReader(`{"01": 1, "001": 1}`)) // mixed widths
-		if err != nil {
-			t.Fatal(err)
+	bare := `{"0001":12,"0111":200,"1110":403,"1111":812}`
+	code, missBody, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", bare)
+	if code != http.StatusOK || hdr.Get(cacheHeader) != cacheMiss {
+		t.Fatalf("first request: %d %q", code, hdr.Get(cacheHeader))
+	}
+	for name, body := range map[string]string{
+		"bare":       bare,
+		"wrapped":    `{"counts": ` + bare + `, "deadline_ms": 60000}`,
+		"permuted":   `{"1111":812,"0001":12,"1110":403,"0111":200}`,
+		"whitespace": "{\n  \"0001\" : 12 ,\n  \"0111\": 200,\t\"1110\": 403, \"1111\": 812\n}\n",
+	} {
+		code, body, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", body)
+		if code != http.StatusOK || hdr.Get(cacheHeader) != cacheHit {
+			t.Errorf("%s: %d %q, want 200 hit", name, code, hdr.Get(cacheHeader))
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		if got := resp.Header.Get("X-Hammer-Cache"); got != "" {
-			t.Errorf("error response %d carried X-Hammer-Cache=%q", i, got)
+		if !bytes.Equal(body, missBody) {
+			t.Errorf("%s: hit body differs from the miss body:\n%s\n%s", name, body, missBody)
 		}
 	}
 }

@@ -505,18 +505,20 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Result cache: repeated identical (histogram, options) requests — the
-	// QAOA-optimizer pattern — skip reconstruction entirely. The key is a
-	// canonical hash over the validated effective options (a deadline never
-	// changes the result, so it is not part of the key), so the bare and
-	// {"counts": ...} spellings of one request share an entry. Cached
-	// responses are immutable by contract: handlers only marshal them.
+	// QAOA-optimizer pattern — skip reconstruction entirely. The key hashes
+	// the decoded canonical histogram and the validated effective options (a
+	// deadline never changes the result, so it is not part of the key), so
+	// every spelling of one request — bare or {"counts": ...}, any key
+	// order or whitespace — shares an entry. Only valid histograms get this
+	// far, so every lookup is a real hit or miss. Cached responses are
+	// immutable by contract: handlers only marshal them.
 	var key string
 	if s.cache != nil || s.l2 != nil {
 		eff := s.sch.Options()
 		if opts != nil {
 			eff = *opts
 		}
-		key = cache.Key(rr.counts, eff)
+		key = cache.KeySorted(rr.bits, rr.entries, eff)
 		if cached, ok := s.cache.Get(key); ok {
 			w.Header().Set(engineHeader, cached.Engine)
 			w.Header().Set(cacheHeader, cacheHit)
@@ -563,7 +565,7 @@ func (s *server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	in, _, err := dist.FromHistogram(rr.counts)
+	in, err := dist.FromSorted(rr.bits, rr.entries)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, -1, err)
 		return
@@ -693,7 +695,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return sched.Request{}, err
 			}
-			d, _, err := dist.FromHistogram(rr.counts)
+			d, err := dist.FromSorted(rr.bits, rr.entries)
 			return sched.Request{In: d, Opts: opts, Deadline: rr.schedDeadline()}, err
 		},
 		func(i int, res *core.Result) error {
@@ -774,12 +776,17 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, extraTypes ...string) 
 	// assertion on exactly the writer it is handed, which the metrics
 	// middleware's wrapper would otherwise defeat (it only flags the
 	// connection — the 413 envelope is still written through w).
-	body, err := io.ReadAll(http.MaxBytesReader(unwrapWriter(w), r.Body, maxRequestBytes))
-	if err != nil {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
+		// One allocation for a declared length (net/http enforces it),
+		// instead of io.ReadAll's doubling copies of a large histogram.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(unwrapWriter(w), r.Body, maxRequestBytes)); err != nil {
 		writeError(w, bodyStatus(err), -1, err)
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
 // unwrapWriter follows Unwrap chains down to the ResponseWriter net/http
@@ -802,66 +809,6 @@ func bodyStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// reconstructRequest is one decoded reconstruction request: the histogram,
-// the optional per-request config override, and the optional deadline budget
-// ({"deadline_ms": N} — 0 means no deadline).
-type reconstructRequest struct {
-	counts   map[string]float64
-	override *wireConfig
-	deadline time.Duration
-}
-
-// schedDeadline maps the wire budget onto the scheduler's absolute form,
-// anchored at decode time so queueing counts against the client's budget.
-func (rr *reconstructRequest) schedDeadline() time.Time {
-	if rr.deadline <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(rr.deadline)
-}
-
-// decodeReconstruct decodes one reconstruction request: a bare {"0101": mass}
-// histogram object, or a {"counts": {...}} wrapper optionally carrying a
-// per-request {"config": {...}} override and a {"deadline_ms": N} budget. The
-// bare form is tried first: it parses in one pass (a wrapper body fails it
-// immediately — "counts" maps to an object, not a number), and it is the
-// shape cache-hit traffic arrives in, where decoding is most of the remaining
-// latency.
-func decodeReconstruct(body []byte) (*reconstructRequest, error) {
-	var bare map[string]float64
-	bareErr := json.Unmarshal(body, &bare)
-	if bareErr == nil {
-		return &reconstructRequest{counts: bare}, nil
-	}
-	var wrapped struct {
-		Counts     map[string]float64 `json:"counts"`
-		Config     *wireConfig        `json:"config"`
-		DeadlineMS int64              `json:"deadline_ms"`
-	}
-	if err := json.Unmarshal(body, &wrapped); err == nil && len(wrapped.Counts) > 0 {
-		if wrapped.DeadlineMS < 0 {
-			return nil, fmt.Errorf("deadline_ms must be non-negative, got %d", wrapped.DeadlineMS)
-		}
-		return &reconstructRequest{
-			counts:   wrapped.Counts,
-			override: wrapped.Config,
-			deadline: time.Duration(wrapped.DeadlineMS) * time.Millisecond,
-		}, nil
-	}
-	return nil, fmt.Errorf("request is neither a histogram object nor {\"counts\": ...}: %w", bareErr)
-}
-
-// decodeHistogram is the CLI's reading of the same shapes (per-request config
-// overrides and deadlines are an HTTP concern; the CLI's configuration comes
-// from flags).
-func decodeHistogram(body []byte) (map[string]float64, error) {
-	rr, err := decodeReconstruct(body)
-	if err != nil {
-		return nil, err
-	}
-	return rr.counts, nil
 }
 
 // statusFor maps a reconstruction error to an HTTP status: deadline
@@ -911,13 +858,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeJSONBytes(w, status, body)
 }
 
-// encodeJSON is the one place a wire response is rendered: indented,
+// encodeJSON is the one place a wire response is rendered: compact,
 // newline-terminated.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 
 	hammer "repro"
 	"repro/internal/bitstr"
+	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/serve"
 )
@@ -84,4 +87,92 @@ func BenchmarkCachedReconstruct(b *testing.B) {
 // disabled: a full reconstruction per timed request.
 func BenchmarkUncachedReconstruct(b *testing.B) {
 	benchReconstruct(b, 0, "")
+}
+
+// shotsJSON samples shots from a QAOA-like bits-qubit distribution (a
+// Hamming cluster around one outcome plus a uniform tail) and returns the
+// counts as a wire body with the number of distinct outcomes. The keys are
+// in sorted order, as json.Marshal renders them and clients send them, or
+// shuffled.
+func shotsJSON(tb testing.TB, bits, shots int, shuffled bool) ([]byte, int) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	peak := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(bits)
+	counts := map[string]int{}
+	for i := 0; i < shots; i++ {
+		x := bitstr.Bits(rng.Int63()) & bitstr.AllOnes(bits)
+		if rng.Intn(64) == 0 {
+			x = peak ^ 1<<uint(rng.Intn(bits))
+		}
+		counts[bitstr.Format(x, bits)]++
+	}
+	if !shuffled {
+		body, err := json.Marshal(counts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return body, len(counts)
+	}
+	members := make([]string, 0, len(counts))
+	for k, v := range counts {
+		members = append(members, fmt.Sprintf("%q:%d", k, v))
+	}
+	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	return []byte("{" + strings.Join(members, ",") + "}"), len(counts)
+}
+
+// decodeKey is the per-request work of a cache hit before the lookup:
+// decode the body and hash its canonical histogram.
+func decodeKey(body []byte, opts core.Options) (string, error) {
+	rr, err := decodeReconstruct(body)
+	if err != nil {
+		return "", err
+	}
+	return cache.KeySorted(rr.bits, rr.entries, opts), nil
+}
+
+// TestHitDecodeKeyAllocs gates the hit path's wire layers by allocation
+// count, which unlike time does not depend on the host: decoding and keying
+// a 16-qubit, 8192-shot histogram must stay a small constant number of
+// allocations, not one or more per outcome.
+func TestHitDecodeKeyAllocs(t *testing.T) {
+	body, support := shotsJSON(t, 16, 8192, false)
+	if support < 7000 {
+		t.Fatalf("workload has %d outcomes, want a 7k+ support", support)
+	}
+	if _, err := decodeKey(body, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 32
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := decodeKey(body, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("decode+key of %d outcomes: %.0f allocs, want <= %d", support, allocs, maxAllocs)
+	}
+}
+
+// BenchmarkHitDecodeKey measures the same work as TestHitDecodeKeyAllocs:
+// the wire decode and cache key of a 16-qubit, 8192-shot histogram, the part
+// of a cache hit that scales with the histogram. "shuffled" sends the keys
+// out of order, which adds the one sort.
+func BenchmarkHitDecodeKey(b *testing.B) {
+	for _, shuffled := range []bool{false, true} {
+		name := "sorted"
+		if shuffled {
+			name = "shuffled"
+		}
+		b.Run(name, func(b *testing.B) {
+			body, _ := shotsJSON(b, 16, 8192, shuffled)
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeKey(body, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

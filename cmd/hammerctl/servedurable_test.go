@@ -2,9 +2,15 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +18,7 @@ import (
 
 	hammer "repro"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -201,5 +208,73 @@ func TestServeDurableFlagValidation(t *testing.T) {
 		cache.DefaultEntries, durableConfig{dataDir: t.TempDir(), walSync: "sometimes"})
 	if err == nil {
 		t.Fatal("invalid -wal-sync accepted")
+	}
+}
+
+// legacyKey is the cache key derivation of builds before cache.KeyVersion
+// existed: SHA-256 over the length-prefixed sorted string keys and value
+// bits, then the options, with no version stamp. Those builds stored
+// indented response bodies under it.
+func legacyKey(histogram map[string]float64, opts core.Options) string {
+	h := sha256.New()
+	keys := make([]string, 0, len(histogram))
+	for k := range histogram {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var buf [8]byte
+	for _, k := range keys {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(k)))
+		h.Write(buf[:])
+		h.Write([]byte(k))
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(histogram[k]))
+		h.Write(buf[:])
+	}
+	engine := opts.Engine
+	if engine == "" {
+		engine = core.EngineAuto
+	}
+	fmt.Fprintf(h, "|r=%d|w=%d|f=%t|m=%d|e=%s",
+		opts.Radius, opts.Weights, opts.DisableFilter, opts.TopM, engine)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestServeL2IgnoresLegacyEntries: an L2 entry a pre-version build wrote
+// (indented body, unversioned key) in the shared cache directory is a miss
+// for this build, which then serves and stores its own bytes.
+func TestServeL2IgnoresLegacyEntries(t *testing.T) {
+	cacheDir := t.TempDir()
+	srv, ts := newDurableServer(t, serve.Config{}, durableConfig{cacheDir: cacheDir})
+	reconBody := `{"1111": 812, "1110": 403, "0111": 200}`
+	var counts map[string]float64
+	if err := json.Unmarshal([]byte(reconBody), &counts); err != nil {
+		t.Fatal(err)
+	}
+	opts := srv.sch.Options()
+	old := legacyKey(counts, opts)
+	if old == cache.Key(counts, opts) {
+		t.Fatal("versioned key equals the legacy key")
+	}
+	stale := []byte("{\n \"dist\": {\n  \"1111\": 1\n },\n \"support\": 1,\n \"engine\": \"exact\",\n \"radius\": 4\n}\n")
+	l2, err := cache.NewDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2.Put(old, l2Encode("exact", stale))
+	if _, ok := l2.Get(old); !ok {
+		t.Fatal("legacy entry not stored")
+	}
+
+	code, body, hdr := postHeaders(t, ts.URL+"/v1/reconstruct", reconBody)
+	if code != http.StatusOK || hdr.Get(cacheHeader) != cacheMiss {
+		t.Fatalf("status %d, cache %q: want a miss past the legacy entry", code, hdr.Get(cacheHeader))
+	}
+	if bytes.Equal(body, stale) || bytes.Contains(body, []byte("\n ")) {
+		t.Fatalf("served the legacy indented body:\n%s", body)
+	}
+	if raw, ok := l2.Get(cache.Key(counts, opts)); !ok {
+		t.Fatal("miss not stored under the versioned key")
+	} else if _, stored, _ := l2Decode(raw); !bytes.Equal(stored, body) {
+		t.Fatal("stored entry differs from the served body")
 	}
 }

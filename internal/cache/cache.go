@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 // DefaultEntries is the serving layer's default cache capacity. The LRU
@@ -21,18 +23,51 @@ import (
 // practice and entries × per-entry-cap worst case — sized for one host.
 const DefaultEntries = 1024
 
-// Key returns the canonical cache key of one reconstruction request: a
-// SHA-256 over the histogram (entries in sorted key order, values as exact
-// float64 bits) and every result-affecting option. opts.Workers is excluded
-// — parallelism never changes the output — and an empty Engine hashes as
-// "auto", its documented meaning, so the two spellings share cache entries.
-//
-// The serialization is injective for arbitrary string keys (each key is
-// length-prefixed), not just for well-formed bitstrings: callers may hash a
-// histogram before validating it, and a crafted invalid key must never
-// collide with a valid cached entry.
-func Key(histogram map[string]float64, opts core.Options) string {
+// KeyVersion stamps every key's hash input. Bump it whenever the bytes a key
+// stands for change — the key derivation, the response rendering, or the
+// L2/peer entry framing — so an entry written by an older build (on disk in
+// a Dir, or held by a peer running it) is a miss rather than stale bytes
+// served as a hit. Version 1 was the unstamped string-keyed derivation that
+// stored indented response bodies.
+const KeyVersion = 2
+
+// KeySorted returns the canonical cache key of one reconstruction request
+// given its canonical histogram (n-bit outcomes in strictly ascending order;
+// see dist.SortEntries): a SHA-256 over the key version, the width, every
+// entry's outcome and exact float64 value bits, and every result-affecting
+// option. opts.Workers is excluded — parallelism never changes the output —
+// and an empty Engine hashes as "auto", its documented meaning, so the two
+// spellings share cache entries.
+func KeySorted(n int, entries []dist.Entry, opts core.Options) string {
 	h := sha256.New()
+	var buf [4096]byte
+	b := append(buf[:0], keyDomainSorted...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(entries)))
+	for _, e := range entries {
+		if len(b) > len(buf)-16 {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, e.X)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.P))
+	}
+	h.Write(b)
+	return finishKey(h, opts)
+}
+
+// Key is KeySorted for the string-keyed map form: a histogram dist.Canonical
+// accepts hashes exactly as its canonical form does, so both spellings of
+// one request share a key. Key is total: a map that is not a histogram
+// (malformed or mixed-width keys) hashes its sorted, length-prefixed string
+// keys under a separate domain tag instead, which keeps the derivation
+// injective — a crafted invalid key can never collide with a valid entry.
+func Key(histogram map[string]float64, opts core.Options) string {
+	if n, entries, err := dist.Canonical(histogram); err == nil {
+		return KeySorted(n, entries, opts)
+	}
+	h := sha256.New()
+	h.Write([]byte(keyDomainStrings))
 	keys := make([]string, 0, len(histogram))
 	for k := range histogram {
 		keys = append(keys, k)
@@ -46,6 +81,19 @@ func Key(histogram map[string]float64, opts core.Options) string {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(histogram[k]))
 		h.Write(buf[:])
 	}
+	return finishKey(h, opts)
+}
+
+// The two key domains: both carry the version stamp, and the differing tag
+// byte keeps a canonical histogram's serialization from ever equalling a
+// string-keyed one.
+var (
+	keyDomainSorted  = fmt.Sprintf("hammer-cache-key/v%d/h", KeyVersion)
+	keyDomainStrings = fmt.Sprintf("hammer-cache-key/v%d/s", KeyVersion)
+)
+
+// finishKey appends the result-affecting options and returns the hex digest.
+func finishKey(h hash.Hash, opts core.Options) string {
 	engine := opts.Engine
 	if engine == "" {
 		engine = core.EngineAuto

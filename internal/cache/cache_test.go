@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 )
 
 func TestKeyMapOrderIndependent(t *testing.T) {
@@ -149,5 +150,27 @@ func TestLRUConcurrent(t *testing.T) {
 	}
 	if c.Len() > 16 {
 		t.Errorf("len %d exceeds capacity", c.Len())
+	}
+}
+
+// TestKeyMatchesKeySorted: the map form and the canonical form of one
+// histogram share a key, and a map that is not a histogram keys apart from
+// every histogram.
+func TestKeyMatchesKeySorted(t *testing.T) {
+	h := map[string]float64{"110": 3, "001": 1, "011": 0}
+	entries := []dist.Entry{{X: 0b001, P: 1}, {X: 0b011, P: 0}, {X: 0b110, P: 3}}
+	for _, opts := range []core.Options{{}, {Radius: 1, Engine: core.EngineExact}} {
+		if Key(h, opts) != KeySorted(3, entries, opts) {
+			t.Errorf("opts %+v: map and canonical keys differ", opts)
+		}
+	}
+	if KeySorted(3, entries, core.Options{}) == KeySorted(4, entries, core.Options{}) {
+		t.Error("width does not key")
+	}
+	if !ValidKey(Key(map[string]float64{"0x": 1}, core.Options{})) {
+		t.Error("invalid histogram did not get a well-formed key")
+	}
+	if Key(map[string]float64{"01": 1, "001": 1}, core.Options{}) == Key(map[string]float64{"01": 1}, core.Options{}) {
+		t.Error("mixed-width map collided with a histogram")
 	}
 }

@@ -6,10 +6,13 @@
 //
 // Contract:
 //
-//   - Keys. Key(histogram, opts) is a canonical SHA-256: histogram entries
-//     are hashed in sorted key order with exact float64 bit patterns, so two
-//     maps with equal contents produce one key regardless of Go's randomized
-//     map iteration order. Every result-affecting option field (radius,
+//   - Keys. KeySorted(n, entries, opts) is a canonical SHA-256 over a
+//     histogram's canonical form (dist.SortEntries: outcomes ascending,
+//     exact float64 bit patterns), so every spelling of one histogram — key
+//     order, whitespace, escapes, the wrapped form — produces one key. Key
+//     is the same key for the map form. The hash input starts with
+//     KeyVersion, so entries a differently versioned build wrote are
+//     misses. Every result-affecting option field (radius,
 //     weight scheme, filter, TopM, engine — with "" normalized to "auto")
 //     participates; Workers deliberately does not, because parallelism never
 //     changes a reconstruction's output.

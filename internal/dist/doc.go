@@ -41,8 +41,10 @@
 //   - Determinism: all iteration orders are deterministic — Dist and Counts
 //     range in ascending outcome order, Index buckets in (descending
 //     probability, ascending outcome) order — so every experiment in the
-//     repository reproduces bit-for-bit from its seed. FromHistogram
-//     accumulates keys in sorted order for the same reason.
+//     repository reproduces bit-for-bit from its seed. Histograms enter
+//     through one canonical form — width plus entries in ascending outcome
+//     order (Canonical, SortEntries) — and FromSorted accumulates mass in
+//     that order for the same reason.
 //   - Reuse: Dist.Reset, Index.Reset, and Packed.Reset rebuild in place
 //     without shedding capacity; the request-oriented core's 0 allocs/op
 //     after warm-up depends on these paths not allocating for same-shape
