@@ -776,17 +776,12 @@ func readJSONBody(w http.ResponseWriter, r *http.Request, extraTypes ...string) 
 	// assertion on exactly the writer it is handed, which the metrics
 	// middleware's wrapper would otherwise defeat (it only flags the
 	// connection — the 413 envelope is still written through w).
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= maxRequestBytes {
-		// One allocation for a declared length (net/http enforces it),
-		// instead of io.ReadAll's doubling copies of a large histogram.
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(unwrapWriter(w), r.Body, maxRequestBytes)); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(unwrapWriter(w), r.Body, maxRequestBytes))
+	if err != nil {
 		writeError(w, bodyStatus(err), -1, err)
 		return nil, false
 	}
-	return buf.Bytes(), true
+	return body, true
 }
 
 // unwrapWriter follows Unwrap chains down to the ResponseWriter net/http
@@ -858,11 +853,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeJSONBytes(w, status, body)
 }
 
-// encodeJSON is the one place a wire response is rendered: compact,
+// encodeJSON is the one place a wire response is rendered: indented,
 // newline-terminated.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -92,8 +92,7 @@ func BenchmarkUncachedReconstruct(b *testing.B) {
 // shotsJSON samples shots from a QAOA-like bits-qubit distribution (a
 // Hamming cluster around one outcome plus a uniform tail) and returns the
 // counts as a wire body with the number of distinct outcomes. The keys are
-// in sorted order, as json.Marshal renders them and clients send them, or
-// shuffled.
+// in sorted order, as json.Marshal renders them, or shuffled.
 func shotsJSON(tb testing.TB, bits, shots int, shuffled bool) ([]byte, int) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -168,6 +167,7 @@ func BenchmarkHitDecodeKey(b *testing.B) {
 			body, _ := shotsJSON(b, 16, 8192, shuffled)
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := decodeKey(body, core.Options{}); err != nil {
 					b.Fatal(err)

@@ -213,8 +213,7 @@ func TestServeDurableFlagValidation(t *testing.T) {
 
 // legacyKey is the cache key derivation of builds before cache.KeyVersion
 // existed: SHA-256 over the length-prefixed sorted string keys and value
-// bits, then the options, with no version stamp. Those builds stored
-// indented response bodies under it.
+// bits, then the options, with no version stamp.
 func legacyKey(histogram map[string]float64, opts core.Options) string {
 	h := sha256.New()
 	keys := make([]string, 0, len(histogram))
@@ -240,8 +239,9 @@ func legacyKey(histogram map[string]float64, opts core.Options) string {
 }
 
 // TestServeL2IgnoresLegacyEntries: an L2 entry a pre-version build wrote
-// (indented body, unversioned key) in the shared cache directory is a miss
-// for this build, which then serves and stores its own bytes.
+// under the unversioned key in the shared cache directory is a miss for this
+// build, which then serves and stores its own bytes. The planted body is a
+// wrong answer (support 1 for a 3-outcome histogram), so serving it shows.
 func TestServeL2IgnoresLegacyEntries(t *testing.T) {
 	cacheDir := t.TempDir()
 	srv, ts := newDurableServer(t, serve.Config{}, durableConfig{cacheDir: cacheDir})
@@ -269,8 +269,8 @@ func TestServeL2IgnoresLegacyEntries(t *testing.T) {
 	if code != http.StatusOK || hdr.Get(cacheHeader) != cacheMiss {
 		t.Fatalf("status %d, cache %q: want a miss past the legacy entry", code, hdr.Get(cacheHeader))
 	}
-	if bytes.Equal(body, stale) || bytes.Contains(body, []byte("\n ")) {
-		t.Fatalf("served the legacy indented body:\n%s", body)
+	if bytes.Equal(body, stale) {
+		t.Fatalf("served the legacy body:\n%s", body)
 	}
 	if raw, ok := l2.Get(cache.Key(counts, opts)); !ok {
 		t.Fatal("miss not stored under the versioned key")

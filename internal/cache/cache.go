@@ -27,8 +27,7 @@ const DefaultEntries = 1024
 // stands for change — the key derivation, the response rendering, or the
 // L2/peer entry framing — so an entry written by an older build (on disk in
 // a Dir, or held by a peer running it) is a miss rather than stale bytes
-// served as a hit. Version 1 was the unstamped string-keyed derivation that
-// stored indented response bodies.
+// served as a hit. Version 1 was the unstamped string-keyed derivation.
 const KeyVersion = 2
 
 // KeySorted returns the canonical cache key of one reconstruction request

@@ -42,21 +42,17 @@ func Canonical(histogram map[string]float64) (int, []Entry, error) {
 		}
 		entries = append(entries, Entry{x, v})
 	}
-	// Map keys are unique, so an unstable sort is already canonical.
-	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.X, b.X) })
-	return n, entries, nil
+	return n, SortEntries(entries), nil
 }
 
 // SortEntries puts entries listed in arrival order into canonical order in
 // place and returns the canonical prefix. A repeated outcome keeps its last
 // value — what decoding a JSON object into a map does — so the sort is
-// stable. Input already in strictly ascending order, which is what an
-// encoder that sorts its map keys emits, costs one linear check; other input
-// is radix sorted, one pass per byte of the widest outcome.
+// stable. Input already in strictly ascending order costs one linear check.
 func SortEntries(entries []Entry) []Entry {
 	for i := 1; i < len(entries); i++ {
 		if entries[i].X <= entries[i-1].X {
-			radixSort(entries)
+			slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(a.X, b.X) })
 			out := entries[:0]
 			for j, e := range entries {
 				if j+1 < len(entries) && entries[j+1].X == e.X {
@@ -68,33 +64,6 @@ func SortEntries(entries []Entry) []Entry {
 		}
 	}
 	return entries
-}
-
-// radixSort is a stable least-significant-byte-first sort by outcome.
-func radixSort(entries []Entry) {
-	var all bitstr.Bits
-	for _, e := range entries {
-		all |= e.X
-	}
-	src, dst := entries, make([]Entry, len(entries))
-	for shift := uint(0); shift < 64 && all>>shift != 0; shift += 8 {
-		var start [256]int
-		for _, e := range src {
-			start[byte(e.X>>shift)]++
-		}
-		sum := 0
-		for b, c := range start {
-			start[b] = sum
-			sum += c
-		}
-		for _, e := range src {
-			b := byte(e.X >> shift)
-			dst[start[b]] = e
-			start[b]++
-		}
-		src, dst = dst, src
-	}
-	copy(entries, src)
 }
 
 // ValidateSorted checks that (n, entries) is a canonical histogram a

@@ -10,8 +10,7 @@ import (
 )
 
 // TestSortEntriesLastWins: arrival-order entries sort by outcome, and a
-// repeated outcome keeps the value listed last, at every width the radix
-// passes cover.
+// repeated outcome keeps the value listed last, at several widths.
 func TestSortEntriesLastWins(t *testing.T) {
 	for _, bits := range []int{1, 7, 8, 9, 16, 33, 64} {
 		rng := rand.New(rand.NewSource(int64(bits)))
