@@ -270,6 +270,35 @@ func parseIngestBody(mt string, body []byte) ([]shotEntry, error) {
 	return entries, nil
 }
 
+// validateIngest checks a parsed ingest batch against a session of width n
+// that already holds shots shots: every shot must be n bits wide, every
+// count positive, and the batch must not take the session past
+// stream.MaxShots. It returns the parsed outcomes and the batch's shot
+// total. The sum is checked against the room left before each addition, so
+// it cannot overflow however large the counts.
+func validateIngest(entries []shotEntry, n, shots int) ([]bitstr.Bits, int, error) {
+	parsed := make([]bitstr.Bits, len(entries))
+	total := 0
+	for i, e := range entries {
+		if len(e.shot) != n {
+			return nil, 0, fmt.Errorf("shot %q has %d bits, session has %d", e.shot, len(e.shot), n)
+		}
+		x, err := bitstr.Parse(e.shot)
+		if err != nil {
+			return nil, 0, err
+		}
+		if e.k <= 0 {
+			return nil, 0, fmt.Errorf("non-positive shot count %d for %q", e.k, e.shot)
+		}
+		if e.k > stream.MaxShots-shots-total {
+			return nil, 0, fmt.Errorf("batch would take the session (%d shots) past %d shots", shots, stream.MaxShots)
+		}
+		parsed[i] = x
+		total += e.k
+	}
+	return parsed, total, nil
+}
+
 func (s *server) streamIngest(w http.ResponseWriter, r *http.Request, id string) {
 	body, ok := readJSONBody(w, r, "text/plain")
 	if !ok {
@@ -292,22 +321,9 @@ func (s *server) streamIngest(w http.ResponseWriter, r *http.Request, id string)
 		ingest := func() error {
 			// Validate the whole batch before ingesting any of it, so a
 			// bad entry cannot leave the session half-updated.
-			n := st.NumBits()
-			parsed := make([]bitstr.Bits, len(entries))
-			total := 0
-			for i, e := range entries {
-				if len(e.shot) != n {
-					return fmt.Errorf("shot %q has %d bits, session has %d", e.shot, len(e.shot), n)
-				}
-				x, err := bitstr.Parse(e.shot)
-				if err != nil {
-					return err
-				}
-				if e.k <= 0 {
-					return fmt.Errorf("non-positive shot count %d for %q", e.k, e.shot)
-				}
-				parsed[i] = x
-				total += e.k
+			parsed, total, err := validateIngest(entries, st.NumBits(), st.Shots())
+			if err != nil {
+				return err
 			}
 			for i, e := range entries {
 				if err := st.IngestN(parsed[i], e.k); err != nil {

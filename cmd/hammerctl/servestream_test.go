@@ -13,8 +13,11 @@ import (
 	"time"
 
 	hammer "repro"
+	"repro/internal/bitstr"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/stream"
 )
 
 // newTestServerWith builds a test server with explicit session-manager limits
@@ -380,6 +383,48 @@ func TestStreamIngestErrors(t *testing.T) {
 	}
 }
 
+// TestStreamIngestShotCap: counts that would wrap the session's int shot
+// total, or take it past stream.MaxShots, answer 400 and leave the session
+// untouched, in both body formats; a batch filling the session exactly to
+// the cap is accepted and snapshots.
+func TestStreamIngestShotCap(t *testing.T) {
+	ts := newTestServer(t, hammer.Config{}, 2)
+	cr := createStream(t, ts.URL, `{"width": 4}`)
+	base := ts.URL + "/v1/stream/" + cr.ID
+	postText := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(base+"/shots", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code, resp := postJSON(t, base+"/shots", `{"counts": {"0001": 9223372036854775807, "0011": 9223372036854775807}}`); code != http.StatusBadRequest {
+		t.Fatalf("wrapping JSON batch: status %d (%s)", code, resp)
+	}
+	if code := postText("0001 9223372036854775807\n0011 9223372036854775807\n"); code != http.StatusBadRequest {
+		t.Fatalf("wrapping text batch: status %d", code)
+	}
+	if code, resp := postJSON(t, base+"/shots", fmt.Sprintf(`{"counts": {"0001": %d, "0011": 1}}`, stream.MaxShots)); code != http.StatusBadRequest {
+		t.Fatalf("batch one past the cap: status %d (%s)", code, resp)
+	}
+	code, resp := postJSON(t, base+"/shots?snapshot=1", fmt.Sprintf(`{"counts": {"0001": %d, "0011": 1}}`, stream.MaxShots-1))
+	if code != http.StatusOK {
+		t.Fatalf("batch filling the cap: status %d (%s)", code, resp)
+	}
+	var ir streamIngestResponse
+	if err := json.Unmarshal(resp, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if ir.Shots != stream.MaxShots || ir.Ingested != stream.MaxShots || ir.Support != 2 || ir.Snapshot == nil {
+		t.Fatalf("rejected batches leaked into the session, or the full one was lost: %+v", ir)
+	}
+	if code, resp := postJSON(t, base+"/shots", `{"shots": ["0001"]}`); code != http.StatusBadRequest {
+		t.Fatalf("shot into a full session: status %d (%s)", code, resp)
+	}
+}
+
 // TestServeContentType pins the 415 hardening: declared non-JSON bodies are
 // rejected before parsing, on every POST endpoint; the shots endpoint
 // additionally accepts text/plain; charset parameters are tolerated.
@@ -431,4 +476,78 @@ func TestServeContentType(t *testing.T) {
 	if code := post(ts.URL+"/v1/reconstruct", "application/json; charset=utf-8", `{"1111": 3, "1110": 1}`); code != http.StatusOK {
 		t.Errorf("json with charset: status %d", code)
 	}
+}
+
+// FuzzParseIngestBody fuzzes the shots endpoint's body handling: both body
+// formats through parseIngestBody, then the handler's all-or-nothing entry
+// validation against a session of the given width already holding prior
+// shots. Nothing may panic, and an accepted batch must be exactly what the
+// body said — widths, bitstrings and positive counts, summed without
+// overflow to a total that keeps the session within stream.MaxShots — and
+// must ingest into such a session without error.
+func FuzzParseIngestBody(f *testing.F) {
+	for _, s := range []struct {
+		text  bool
+		body  string
+		width uint8
+		prior uint64
+	}{
+		{false, `{"shots": ["0101", "0101"], "counts": {"1111": 3}}`, 4, 0},
+		{false, `{"counts": {"0001": 9223372036854775807, "0011": 9223372036854775807}}`, 4, 0},
+		{false, `{"counts": {"01": 9007199254740991}}`, 2, 1},
+		{false, `{"counts": {"01": 2}}`, 2, stream.MaxShots - 1},
+		{false, `{"shots": ["1x"]}`, 2, 0},
+		{true, "0101\n0101 7\n# comment\n\n1111 3 # trailing\n", 4, 0},
+		{true, "0001 9223372036854775807\n0011 9223372036854775807\n", 4, 0},
+		{true, "0001 -1\n", 4, 0},
+		{true, "0001 2 3\n", 4, 0},
+	} {
+		f.Add(s.text, []byte(s.body), s.width, s.prior)
+	}
+	f.Fuzz(func(t *testing.T, text bool, body []byte, width uint8, prior uint64) {
+		mt := "application/json"
+		if text {
+			mt = "text/plain"
+		}
+		entries, err := parseIngestBody(mt, body)
+		if err != nil {
+			return
+		}
+		n := 1 + int(width)%bitstr.MaxBits
+		shots := int(prior % (stream.MaxShots + 1))
+		parsed, total, err := validateIngest(entries, n, shots)
+		if err != nil {
+			return
+		}
+		sum := 0
+		for i, e := range entries {
+			if e.k <= 0 || e.k > stream.MaxShots-sum {
+				t.Fatalf("accepted count %d after %d shots", e.k, sum)
+			}
+			if got := bitstr.Format(parsed[i], n); got != e.shot {
+				t.Fatalf("shot %q parsed as %q", e.shot, got)
+			}
+			sum += e.k
+		}
+		if sum != total || total > stream.MaxShots-shots {
+			t.Fatalf("total %d (entries sum to %d) on %d prior shots", total, sum, shots)
+		}
+		st, err := stream.New(n, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shots > 0 {
+			if err := st.IngestN(0, shots); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, e := range entries {
+			if err := st.IngestN(parsed[i], e.k); err != nil {
+				t.Fatalf("validated entry rejected by the stream: %v", err)
+			}
+		}
+		if st.Shots() != shots+total {
+			t.Fatalf("stream holds %d shots, want %d", st.Shots(), shots+total)
+		}
+	})
 }

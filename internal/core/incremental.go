@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/dist"
@@ -25,28 +27,6 @@ func init() {
 // amortized cost is one extra full pass per 256 snapshots.
 const fullResyncEvery = 256
 
-// accRow is the cached per-outcome engine state: the outcome's neighborhood
-// strengths per Hamming distance, in count space (raw shot mass, not
-// normalized probability). Index d of each slice is the strength at distance
-// exactly d; index 0 is unused because distinct outcomes are at distance >= 1.
-//
-//   - all[d] is the unfiltered neighborhood strength, the outcome's
-//     contribution to the global CHS: summed over every outcome, all[d]
-//     recovers CHS[d] because each unordered pair (x, y) at distance d
-//     contributes mass(y) to x's row and mass(x) to y's row.
-//   - adm[d] is the admitted strength under the lower-probability filter of
-//     §4.4 (only neighbors with strictly lower mass give credit). With the
-//     filter disabled the two coincide and adm aliases all.
-//
-// mass is the outcome's mass at the last row synchronization, so a
-// revalidation knows each changed outcome's old mass when patching its
-// neighbors' rows.
-type accRow struct {
-	all  []float64
-	adm  []float64
-	mass float64
-}
-
 // Incremental is reusable HAMMER engine state for streaming reconstruction:
 // CHS accumulators and per-outcome neighborhood rows that survive across
 // snapshots, invalidated per dirty outcome instead of recomputed from
@@ -61,25 +41,53 @@ type accRow struct {
 // own mass did not move, so its filter decisions against x depend only on
 // x's old and new mass, and the row is patched in O(1) per distance instead
 // of recomputed. Only the changed outcomes themselves — whose filter
-// decisions against every neighbor may flip — pay a full O(ball) row
-// rebuild. A snapshot after a batch touching m unique outcomes therefore
-// costs O(m · ball) + O(N · radius), instead of the O(N · ball) full
+// decisions against every neighbor may flip — need a full row rebuild.
+//
+// Both happen in one fused pass (repair): for each changed outcome, in
+// ascending outcome order, one scan of its popcount window rebuilds its own
+// row and delta-patches the row of every unchanged neighbor it meets. A
+// snapshot after a batch touching m unique outcomes therefore visits
+// O(m · window) pairs plus O(N · radius) for the CHS and epilogue, never
+// more than the O(N · window) of a full rebuild, instead of the full
 // pairwise pass of the batch engines.
+//
+// All per-outcome state is addressed by the live index's dense slots, with
+// no hashing after ingestion: the rows are two flat arrays of stride
+// radius+1 (all and adm below), and the dirty set is a slot list plus a
+// per-slot flag.
 //
 // Incremental is not safe for concurrent use; callers serialize Add and
 // Snapshot.
 type Incremental struct {
 	n       int
 	maxD    int
+	stride  int // maxD+1: row length; index 0 is unused (distinct outcomes are at distance >= 1)
 	scheme  WeightScheme
 	filter  bool
 	workers int
 
-	ix       *dist.LiveIndex
-	rows     map[bitstr.Bits]*accRow
-	changed  map[bitstr.Bits]struct{} // outcomes whose mass moved since the last row sync
-	resyncIn int                      // revalidations until the next full anti-drift rebuild
-	cached   *Result                  // last snapshot; nil when state changed since
+	ix *dist.LiveIndex
+
+	// all[s*stride+d] is slot s's unfiltered neighborhood strength at
+	// distance exactly d, in count space: its contribution to the global
+	// CHS, because each unordered pair (x, y) at distance d contributes
+	// mass(y) to x's row and mass(x) to y's row. adm is the admitted
+	// strength under the lower-probability filter of §4.4 (only neighbors
+	// with strictly lower mass give credit); with the filter disabled the
+	// two coincide and adm aliases all.
+	all, adm []float64
+	// synced[s] is slot s's mass at its last row sync, so a repair knows a
+	// changed outcome's old mass when patching its neighbors' rows.
+	synced []float64
+	// dirty[s] flags slots whose mass moved since the last row sync;
+	// changed lists them.
+	dirty   []bool
+	changed []int32
+	// ball is the repair pass's scratch for one outcome's neighbors.
+	ball []dist.Neighbor
+
+	resyncIn int     // revalidations until the next full anti-drift rebuild
+	cached   *Result // last snapshot; nil when state changed since
 }
 
 // NewIncremental returns empty streaming engine state over n-bit outcomes.
@@ -97,15 +105,15 @@ func NewIncremental(n int, opts Options) *Incremental {
 	if opts.Engine != "" && opts.Engine != EngineAuto && opts.Engine != EngineIncremental {
 		panic(fmt.Sprintf("core: incremental state cannot run engine %q", opts.Engine))
 	}
+	maxD := opts.radius(n)
 	return &Incremental{
 		n:        n,
-		maxD:     opts.radius(n),
+		maxD:     maxD,
+		stride:   maxD + 1,
 		scheme:   opts.Weights,
 		filter:   !opts.DisableFilter,
 		workers:  opts.workers(),
 		ix:       dist.NewLiveIndex(n),
-		rows:     make(map[bitstr.Bits]*accRow),
-		changed:  make(map[bitstr.Bits]struct{}),
 		resyncIn: fullResyncEvery,
 	}
 }
@@ -133,8 +141,14 @@ func (inc *Incremental) Range(fn func(x bitstr.Bits, mass float64)) {
 // O(1): row invalidation is deferred to the next Snapshot so that a batch
 // touching m unique outcomes costs m neighborhood repairs, not one per shot.
 func (inc *Incremental) Add(x bitstr.Bits, mass float64) {
-	inc.ix.Add(x, mass)
-	inc.changed[x] = struct{}{}
+	s, isNew := inc.ix.AddSlot(x, mass)
+	if isNew {
+		inc.dirty = append(inc.dirty, false)
+	}
+	if !inc.dirty[s] {
+		inc.dirty[s] = true
+		inc.changed = append(inc.changed, s)
+	}
 	inc.cached = nil
 }
 
@@ -156,154 +170,162 @@ func (inc *Incremental) Snapshot() *Result {
 		panic(fmt.Sprintf("core: snapshot of mass %v", total))
 	}
 	inv := 1 / total
+	xs, ms := inc.ix.Outcomes(), inc.ix.Masses()
 
 	// Global CHS: freshly summed from the cached rows every snapshot (cheap,
 	// O(N·radius)) so the accumulator itself never drifts. chs[0] is the
-	// self-pair term, Σ Pr(x) = 1 for a normalized histogram.
-	chs := make([]float64, inc.maxD+1)
+	// self-pair term, Σ Pr(x) = 1 for a normalized histogram. Both sums run
+	// in the live index's deterministic order.
+	chs := make([]float64, inc.stride)
 	chs[0] = 1
-	inc.ix.Range(func(x bitstr.Bits, _ float64) {
-		row := inc.rows[x]
-		for d := 1; d <= inc.maxD; d++ {
-			chs[d] += row.all[d] * inv
+	for w := 0; w <= inc.n; w++ {
+		for _, s := range inc.ix.Bucket(w) {
+			row := inc.all[int(s)*inc.stride:][:inc.stride]
+			for d := 1; d < len(row); d++ {
+				chs[d] += row[d] * inv
+			}
 		}
-	})
-	w := weights(chs, inc.maxD, inc.scheme)
+	}
+	wt := weights(chs, inc.maxD, inc.scheme)
 
 	out := dist.New(inc.n)
-	inc.ix.Range(func(x bitstr.Bits, m float64) {
-		p := m * inv
-		row := inc.rows[x]
-		s := p
-		for d := 1; d <= inc.maxD; d++ {
-			s += w[d] * (row.adm[d] * inv)
+	for w := 0; w <= inc.n; w++ {
+		for _, s := range inc.ix.Bucket(w) {
+			p := ms[s] * inv
+			row := inc.adm[int(s)*inc.stride:][:inc.stride]
+			sc := p
+			for d := 1; d < len(row); d++ {
+				sc += wt[d] * (row[d] * inv)
+			}
+			out.Set(xs[s], sc*p)
 		}
-		out.Set(x, s*p)
-	})
+	}
 	out.Normalize()
-	inc.cached = &Result{Out: out, GlobalCHS: chs, Weights: w, Radius: inc.maxD, Engine: EngineIncremental}
+	inc.cached = &Result{Out: out, GlobalCHS: chs, Weights: wt, Radius: inc.maxD, Engine: EngineIncremental}
 	return inc.cached
 }
 
-// revalidate repairs the neighborhood rows after a batch of mass updates:
-// unchanged neighbors are delta-patched, changed outcomes are rebuilt, and
-// every fullResyncEvery-th call rebuilds everything to stop rounding drift.
+// revalidate brings every row in line with the live index after a batch of
+// mass updates: one fused repair pass over the changed outcomes, or — on the
+// first snapshot, when everything changed, and every fullResyncEvery-th call
+// to stop rounding drift — a full rebuild.
 func (inc *Incremental) revalidate() {
 	if len(inc.changed) == 0 {
 		return
 	}
+	inc.grow()
 	inc.resyncIn--
 	if inc.resyncIn <= 0 || len(inc.changed) == inc.ix.Len() {
 		inc.fullResync()
+	} else {
+		inc.repair()
+	}
+	for _, s := range inc.changed {
+		inc.dirty[s] = false
+	}
+	inc.changed = inc.changed[:0]
+}
+
+// grow extends the slot-indexed row state to cover outcomes first seen
+// since the last revalidation. New slots start with zero rows and zero
+// synced mass, which is exactly "absent" for the delta patches.
+func (inc *Incremental) grow() {
+	n := inc.ix.Len()
+	if len(inc.synced) == n {
 		return
 	}
-
-	changedList := make([]bitstr.Bits, 0, len(inc.changed))
-	for x := range inc.changed {
-		changedList = append(changedList, x)
+	inc.synced = append(inc.synced, make([]float64, n-len(inc.synced))...)
+	inc.all = append(inc.all, make([]float64, n*inc.stride-len(inc.all))...)
+	if inc.filter {
+		inc.adm = append(inc.adm, make([]float64, n*inc.stride-len(inc.adm))...)
+	} else {
+		inc.adm = inc.all
 	}
-	sort.Slice(changedList, func(i, j int) bool { return changedList[i] < changedList[j] })
+}
 
-	// Ensure every changed outcome has a row before the parallel rebuild so
-	// that phase only mutates per-outcome structs, never the map. New
-	// outcomes carry mass 0 at the last sync by construction.
-	changedRows := make([]*accRow, len(changedList))
-	for i, x := range changedList {
-		r, ok := inc.rows[x]
-		if !ok {
-			r = &accRow{}
-			inc.rows[x] = r
-		}
-		changedRows[i] = r
+// repair is the fused incremental pass. Changed outcomes are walked in
+// ascending outcome order, and each scans its popcount window once (one
+// LiveIndex.Ball query); every neighbor found at distance d then serves
+// twice. It feeds the changed outcome's own rebuilt row: that outcome's mass
+// moved, so any filter decision in its row may have flipped. And, when the
+// neighbor is unchanged, the neighbor's row at d is delta-patched: the
+// neighbor's own mass did not move, so its filter decision against the
+// changed outcome depends only on that outcome's old and new mass — remove
+// the old contribution, add the new one. Changed neighbors get no patch;
+// their rows are rebuilt wholesale on their own turn.
+func (inc *Incremental) repair() {
+	xs := inc.ix.Outcomes()
+	slices.SortFunc(inc.changed, func(a, b int32) int { return cmp.Compare(xs[a], xs[b]) })
+	if len(inc.ball) < len(xs) {
+		// Headroom, so a growing support does not reallocate every snapshot.
+		inc.ball = make([]dist.Neighbor, 2*len(xs))
 	}
-
-	// Phase 1 — patch the rows of unchanged neighbors. y's own mass did not
-	// move, so its filter decision against a changed x depends only on x's
-	// old mass (row sync state) and new mass: remove the old contribution,
-	// add the new one.
-	for i, x := range changedList {
-		oldM := changedRows[i].mass
-		newM := inc.ix.Mass(x)
-		delta := newM - oldM
-		inc.ix.RangeBall(x, inc.maxD, func(y bitstr.Bits, my float64, d int) {
-			if d == 0 {
-				return
-			}
-			if _, ok := inc.changed[y]; ok {
-				return // rebuilt wholesale in phase 2
-			}
-			row := inc.rows[y]
-			row.all[d] += delta
-			if inc.filter {
-				var admDelta float64
-				if oldM < my {
-					admDelta -= oldM
-				}
-				if newM < my {
-					admDelta += newM
-				}
-				row.adm[d] += admDelta
-			}
-		})
+	for _, s := range inc.changed {
+		inc.rebuildRow(s, inc.ix.Ball(xs[s], inc.maxD, inc.ball), true)
 	}
-
-	// Phase 2 — rebuild the changed outcomes' own rows: their mass moved, so
-	// every filter decision in the row may have flipped.
-	parallelRange(len(changedList), inc.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			inc.recomputeRow(changedList[i], changedRows[i])
-		}
-	})
-	for i, x := range changedList {
-		changedRows[i].mass = inc.ix.Mass(x)
-	}
-	inc.changed = make(map[bitstr.Bits]struct{})
 }
 
 // fullResync rebuilds every row from the live index, resynchronizing all
 // cached masses. It runs on the first snapshot (everything is changed) and
-// periodically thereafter as the anti-drift backstop.
+// periodically thereafter as the anti-drift backstop. Rows are independent,
+// so the rebuild fans out across workers, each with its own ball scratch.
 func (inc *Incremental) fullResync() {
-	entries := make([]bitstr.Bits, 0, inc.ix.Len())
-	rows := make([]*accRow, 0, inc.ix.Len())
-	inc.ix.Range(func(x bitstr.Bits, _ float64) {
-		r, ok := inc.rows[x]
-		if !ok {
-			r = &accRow{}
-			inc.rows[x] = r
-		}
-		entries = append(entries, x)
-		rows = append(rows, r)
-	})
-	parallelRange(len(entries), inc.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			inc.recomputeRow(entries[i], rows[i])
-			rows[i].mass = inc.ix.Mass(entries[i])
+	parallelRange(inc.ix.Len(), inc.workers, func(_, lo, hi int) {
+		xs := inc.ix.Outcomes()
+		buf := make([]dist.Neighbor, len(xs))
+		for s := lo; s < hi; s++ {
+			inc.rebuildRow(int32(s), inc.ix.Ball(xs[s], inc.maxD, buf), false)
 		}
 	})
-	inc.changed = make(map[bitstr.Bits]struct{})
 	inc.resyncIn = fullResyncEvery
 }
 
-// recomputeRow rebuilds one outcome's neighborhood strengths from the live
-// index with a single ball query.
-func (inc *Incremental) recomputeRow(x bitstr.Bits, row *accRow) {
-	all := make([]float64, inc.maxD+1)
-	var adm []float64
-	if inc.filter {
-		adm = make([]float64, inc.maxD+1)
-	} else {
-		adm = all
+// rebuildRow recomputes slot s's row in place from its ball, summing the
+// neighbors in ball order, and records its mass as synced. With patch set it
+// also delta-patches every unchanged neighbor's row (see repair); only a
+// serial caller may patch, as patching writes rows other than s's own.
+//
+// The loop has no data-dependent branch: the filter decisions and the
+// unchanged-neighbor test are bit masks, and a masked-off term adds +0.
+// Adding +0 leaves every float64 but -0 bit for bit as it was, and a row,
+// which starts at +0 and only accumulates, never holds -0 — so the sums are
+// bit-identical to adding only the admitted terms.
+func (inc *Incremental) rebuildRow(s int32, near []dist.Neighbor, patch bool) {
+	ms, dirty := inc.ix.Masses(), inc.dirty
+	all, adm, stride, filter := inc.all, inc.adm, inc.stride, inc.filter
+	oldM, newM := inc.synced[s], ms[s]
+	delta := newM - oldM
+	base := int(s) * stride
+	rowAll := all[base:][:stride]
+	rowAdm := adm[base:][:stride]
+	clear(rowAll)
+	clear(rowAdm)
+	for _, nb := range near {
+		my := ms[nb.Slot]
+		rowAll[nb.D] += my
+		if filter {
+			rowAdm[nb.D] += keepIf(my, my < newM)
+		}
+		if !patch {
+			continue
+		}
+		clean := !dirty[nb.Slot]
+		i := int(nb.Slot)*stride + int(nb.D)
+		all[i] += keepIf(delta, clean)
+		if filter {
+			admDelta := keepIf(-oldM, oldM < my) + keepIf(newM, newM < my)
+			adm[i] += keepIf(admDelta, clean)
+		}
 	}
-	mx := inc.ix.Mass(x)
-	inc.ix.RangeBall(x, inc.maxD, func(y bitstr.Bits, my float64, d int) {
-		if d == 0 {
-			return
-		}
-		all[d] += my
-		if inc.filter && my < mx {
-			adm[d] += my
-		}
-	})
-	row.all, row.adm = all, adm
+	inc.synced[s] = newM
+}
+
+// keepIf returns v when keep holds and +0 otherwise, through a bit mask
+// rather than a branch.
+func keepIf(v float64, keep bool) float64 {
+	var mask uint64
+	if keep {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & mask)
 }

@@ -173,11 +173,51 @@ func TestIncrementalSingleOutcome(t *testing.T) {
 	}
 }
 
-// BenchmarkIncrementalSnapshot pins the tentpole's perf claim at the core
-// level: after a small batch lands on a 20-bit / 2000-outcome accumulated
-// stream, the incremental snapshot must be measurably cheaper than a full
-// batch reconstruction of the same histogram. The root BenchmarkStreamSnapshot
-// measures the same through the public facade.
+// saturatedStream returns a 10-bit incremental state whose support already
+// covers all 1024 outcomes, with its first (full) snapshot taken.
+func saturatedStream(opts Options) *Incremental {
+	const n = 10
+	rng := rand.New(rand.NewSource(4))
+	inc := NewIncremental(n, opts)
+	for x := 0; x < 1<<n; x++ {
+		inc.Add(bitstr.Bits(x), float64(1+rng.Intn(50)))
+	}
+	inc.Snapshot()
+	return inc
+}
+
+// TestIncrementalRepairAllocs is the allocation gate on the repair pass: an
+// Add batch plus Snapshot must allocate the same number of objects whether
+// the batch changed 8 outcomes or 400, i.e. the repair allocates nothing
+// per changed row. What a snapshot does allocate (the output distribution,
+// CHS and weights) depends only on the support size, which is saturated.
+func TestIncrementalRepairAllocs(t *testing.T) {
+	for _, opts := range []Options{{}, {DisableFilter: true}} {
+		inc := saturatedStream(opts)
+		inc.resyncIn = 1 << 30 // keep the periodic full rebuild out of the measurement
+		allocs := func(changed int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				for j := 0; j < 512; j++ {
+					inc.Add(bitstr.Bits((j%changed)*1021%1024), 1)
+				}
+				inc.Snapshot()
+			})
+		}
+		few, many := allocs(8), allocs(400)
+		if few != many {
+			t.Errorf("opts %+v: %v allocs/op with 8 changed outcomes, %v with 400", opts, few, many)
+		}
+	}
+}
+
+// BenchmarkIncrementalSnapshot pins the stream engine's perf claims at the
+// core level. "incremental" and "batch": after a small batch lands on a
+// 20-bit / 2000-outcome accumulated stream, the incremental snapshot must be
+// measurably cheaper than a full batch reconstruction of the same histogram
+// (the root BenchmarkStreamSnapshot measures the same through the public
+// facade). "dense" is the shape of a live 10-qubit session: the support
+// saturates all 1024 outcomes and each 512-shot batch changes ~40% of them,
+// so the repair pass itself dominates.
 func BenchmarkIncrementalSnapshot(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const n, support, batch = 20, 2000, 64
@@ -216,6 +256,23 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 				inc.Add(outs[(i*batch+j)%len(outs)], 1)
 			}
 			Reconstruct(inc.ix.Dist(), Options{})
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		const dn = 10
+		dense := saturatedStream(Options{})
+		key := bitstr.Bits(rng.Intn(1 << dn))
+		batches := make([][]bitstr.Bits, 16)
+		for i := range batches {
+			batches[i] = liveShotsBatch(rng, key, dn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, x := range batches[i%len(batches)] {
+				dense.Add(x, 1)
+			}
+			dense.Snapshot()
 		}
 	})
 }

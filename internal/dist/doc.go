@@ -23,7 +23,10 @@
 //     query inspects only the 2d+1 buckets around the query's weight.
 //   - LiveIndex — the mutable counterpart for streaming ingestion: no
 //     global rank order, so adding or incrementing an outcome is O(1) while
-//     the same triangle-inequality ball queries stay available.
+//     the same triangle-inequality ball queries stay available. Each
+//     outcome gets a dense slot on first sight, and outcomes, masses and
+//     bucket members are slot-indexed arrays, so per-outcome state kept
+//     alongside (core.Incremental's rows) is addressed without hashing.
 //   - Packed — the bit-packed structure-of-arrays view of an Index for the
 //     blocked engine's flat scans: one contiguous []uint64 of outcome words
 //     in bucket-major order (ascending weight, within-bucket ascending

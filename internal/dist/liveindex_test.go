@@ -64,8 +64,9 @@ func TestLiveIndexPanics(t *testing.T) {
 }
 
 // TestLiveIndexMatchesIndex: for any ingest sequence, the live index's ball
-// queries must visit exactly the same (outcome, mass, distance) set as the
-// batch Index built from the same accumulated histogram.
+// queries must find exactly the same (outcome, mass, distance) set as the
+// batch Index built from the same accumulated histogram, minus the query
+// outcome itself, in ascending weight order.
 func TestLiveIndexMatchesIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 8
@@ -81,19 +82,30 @@ func TestLiveIndexMatchesIndex(t *testing.T) {
 		t.Fatalf("support %d vs %d", ix.Len(), d.Len())
 	}
 	batch := NewIndex(d)
+	buf := make([]Neighbor, ix.Len())
+	xs, ms := ix.Outcomes(), ix.Masses()
 	for _, maxD := range []int{0, 1, 3, n} {
 		for trial := 0; trial < 20; trial++ {
 			x := bitstr.Bits(rng.Intn(1 << n))
 			live := map[bitstr.Bits]float64{}
-			ix.RangeBall(x, maxD, func(y bitstr.Bits, m float64, dd int) {
-				if bitstr.Distance(x, y) != dd {
-					t.Fatalf("wrong distance %d for %b vs %b", dd, x, y)
+			lastW := 0
+			for _, nb := range ix.Ball(x, maxD, buf) {
+				y := xs[nb.Slot]
+				if dd := bitstr.Distance(x, y); dd != int(nb.D) {
+					t.Fatalf("wrong distance %d for %b vs %b", nb.D, x, y)
 				}
-				live[y] = m
-			})
+				if w := bitstr.Weight(y); w < lastW {
+					t.Fatalf("ball not in ascending weight order at %b", y)
+				} else {
+					lastW = w
+				}
+				live[y] = ms[nb.Slot]
+			}
 			want := map[bitstr.Bits]float64{}
-			batch.RangeBall(x, maxD, func(e IndexEntry, _ int) {
-				want[e.X] = e.P
+			batch.RangeBall(x, maxD, func(e IndexEntry, dd int) {
+				if dd > 0 {
+					want[e.X] = e.P
+				}
 			})
 			if len(live) != len(want) {
 				t.Fatalf("maxD=%d x=%b: ball size %d vs %d", maxD, x, len(live), len(want))
@@ -147,5 +159,35 @@ func TestLiveIndexRangeDeterministic(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestLiveIndexSlots: slots are dense and assigned in first-sight order,
+// never move, and address the outcome and mass slices; a bucket lists its
+// slots in insertion order.
+func TestLiveIndexSlots(t *testing.T) {
+	ix := NewLiveIndex(4)
+	for i, c := range []struct {
+		x     bitstr.Bits
+		m     float64
+		slot  int32
+		isNew bool
+	}{
+		{0b0011, 2, 0, true},
+		{0b1000, 1, 1, true},
+		{0b0011, 3, 0, false},
+		{0b0101, 4, 2, true},
+	} {
+		slot, isNew := ix.AddSlot(c.x, c.m)
+		if slot != c.slot || isNew != c.isNew {
+			t.Fatalf("add %d: slot %d new %v, want %d %v", i, slot, isNew, c.slot, c.isNew)
+		}
+	}
+	xs, ms := ix.Outcomes(), ix.Masses()
+	if len(xs) != 3 || xs[0] != 0b0011 || xs[2] != 0b0101 || ms[0] != 5 || ms[1] != 1 {
+		t.Fatalf("outcomes %v masses %v", xs, ms)
+	}
+	if b := ix.Bucket(2); len(b) != 2 || b[0] != 0 || b[1] != 2 {
+		t.Fatalf("bucket(2) = %v, want [0 2]", b)
 	}
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -272,5 +274,54 @@ func TestManagerJournalErrors(t *testing.T) {
 	})
 	if !errors.Is(err, ErrJournal) {
 		t.Fatalf("record on closed journal: %v, want ErrJournal", err)
+	}
+}
+
+// TestManagerRecoversAtShotCap: the journal's replay cap and the stream's
+// shot cap are the same number. A session filled exactly to stream.MaxShots
+// recovers whole, and a forged record appended past the cap is cut off as a
+// torn tail instead of failing recovery or wrapping the total.
+func TestManagerRecoversAtShotCap(t *testing.T) {
+	dir := t.TempDir()
+	j1, _ := openJournal(t, dir)
+	m1 := NewManager(Config{Journal: j1})
+	if _, err := m1.Create("full", 4, core.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ingest(t, m1, "full", []wal.Pair{{X: 0b1, K: stream.MaxShots - 1}, {X: 0b11, K: 1}})
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Forge one more batch record {0b11: 1} with a valid frame and CRC.
+	payload := []byte{0x02, 1, 0b11, 1}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	f, err := os.OpenFile(filepath.Join(j1.Dir(), "full.wal"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j2, wm := openJournal(t, dir)
+	m2 := NewManager(Config{Journal: j2})
+	if n, err := m2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover: %d sessions, %v", n, err)
+	}
+	if wm.TornTails.Value() != 1 {
+		t.Errorf("forged record not cut as a torn tail (torn=%d)", wm.TornTails.Value())
+	}
+	if err := m2.DoSession("full", func(s *Session) error {
+		if s.Stream().Shots() != stream.MaxShots {
+			t.Errorf("shots %d, want %d", s.Stream().Shots(), stream.MaxShots)
+		}
+		if c := s.Stream().Counts(); c.Get(0b1) != stream.MaxShots-1 || c.Get(0b11) != 1 {
+			t.Errorf("histogram %d, %d", c.Get(0b1), c.Get(0b11))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

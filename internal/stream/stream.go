@@ -8,6 +8,13 @@ import (
 	"repro/internal/dist"
 )
 
+// MaxShots caps a stream's total shot count at 2^53, the largest integer a
+// float64 holds exactly. The incremental engine accumulates shot counts as
+// float64 masses and Counts converts them back to int, so every count up to
+// the cap round-trips exactly, and no int shot total can overflow on the way
+// there. The write-ahead log's replay applies the same cap.
+const MaxShots = 1 << 53
+
 // Stream accumulates shots over an n-bit outcome space and reconstructs
 // snapshots on demand. Exactly one histogram copy is kept: the incremental
 // engine state's live index when the options allow it, or a plain count
@@ -100,13 +107,17 @@ func (s *Stream) Ingest(x bitstr.Bits) error { return s.IngestN(x, 1) }
 
 // IngestN records k shots of outcome x. k must be positive: a streaming
 // source has no meaningful zero or negative shot message, so both are
-// rejected rather than silently dropped.
+// rejected rather than silently dropped. Shots that would take the stream
+// past MaxShots are rejected and leave it unchanged.
 func (s *Stream) IngestN(x bitstr.Bits, k int) error {
 	if x&^bitstr.AllOnes(s.n) != 0 {
 		return fmt.Errorf("stream: outcome %b exceeds %d bits", x, s.n)
 	}
 	if k <= 0 {
 		return fmt.Errorf("stream: non-positive shot count %d", k)
+	}
+	if k > MaxShots-s.shots {
+		return fmt.Errorf("stream: %d more shots would take the stream (%d shots) past %d", k, s.shots, MaxShots)
 	}
 	if s.inc != nil {
 		s.inc.Add(x, float64(k))

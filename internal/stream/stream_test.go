@@ -196,3 +196,41 @@ func TestSnapshotEngineSelection(t *testing.T) {
 		t.Fatalf("TopM snapshot mass %v", mass)
 	}
 }
+
+// TestIngestCapsTotalShots: a stream holds at most MaxShots shots. Counts
+// that would wrap an int total, or merely cross the cap, are rejected and
+// leave the stream as it was, on both the incremental and the batch path;
+// a stream filled exactly to the cap still converts and snapshots.
+func TestIngestCapsTotalShots(t *testing.T) {
+	for _, opts := range []core.Options{{}, {TopM: 2}} {
+		s, err := New(4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.IngestN(0b0001, math.MaxInt); err == nil {
+			t.Fatal("count past the cap accepted")
+		}
+		if err := s.IngestN(0b0001, MaxShots-1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.IngestN(0b0011, 2); err == nil {
+			t.Fatal("batch crossing the cap accepted")
+		}
+		if err := s.IngestN(0b0011, 1); err != nil {
+			t.Fatal(err)
+		}
+		if s.Shots() != MaxShots {
+			t.Fatalf("shots %d, want %d", s.Shots(), MaxShots)
+		}
+		if err := s.Ingest(0b0011); err == nil {
+			t.Fatal("shot past a full stream accepted")
+		}
+		c := s.Counts()
+		if c.Get(0b0001) != MaxShots-1 || c.Get(0b0011) != 1 {
+			t.Fatalf("counts %d, %d", c.Get(0b0001), c.Get(0b0011))
+		}
+		if _, err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -131,13 +131,12 @@ func (r *Replay) foldPairs(body []byte, reset bool) bool {
 			return false
 		}
 		body = body[m:]
-		if x&^mask != 0 || k64 == 0 || k64 > maxPairCount {
+		// shots <= maxTotalShots before the check, so neither side of
+		// it can overflow.
+		if x&^mask != 0 || k64 == 0 || k64 > maxTotalShots-uint64(shots) {
 			return false
 		}
 		k := int(k64)
-		if shots+k > maxTotalShots {
-			return false
-		}
 		shots += k
 		pairs = append(pairs, Pair{X: x, K: k})
 	}

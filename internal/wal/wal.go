@@ -36,13 +36,11 @@ const (
 	recSnapshot byte = 0x03
 )
 
-// Replay-level sanity bounds: a single pair's count and a session's total
-// shots are capped far above any real workload so adversarial logs cannot
-// overflow int accumulation into negative counts.
-const (
-	maxPairCount  = 1 << 50
-	maxTotalShots = 1 << 55
-)
+// maxTotalShots caps a session's total shots, and so every pair's count, at
+// 2^53: the stream layer's own cap (stream.MaxShots), the largest count a
+// float64 holds exactly. A log past it was never written by a valid session,
+// and the cap keeps replay's int accumulation far from overflow.
+const maxTotalShots = 1 << 53
 
 // castagnoli is the CRC-32C table every record checksum uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -481,6 +479,22 @@ func (l *Log) usableLocked() error {
 	return nil
 }
 
+// checkPairs validates pairs before they are written, so the log never
+// holds a record replay would reject: every count in [1, maxTotalShots] and
+// every outcome within the session width.
+func checkPairs(pairs []Pair, width int) error {
+	mask := widthMask(width)
+	for _, p := range pairs {
+		if p.K <= 0 || p.K > maxTotalShots {
+			return fmt.Errorf("wal: shot count %d for outcome %b outside [1, %d]", p.K, p.X, maxTotalShots)
+		}
+		if p.X&^mask != 0 {
+			return fmt.Errorf("wal: outcome %b exceeds %d bits", p.X, width)
+		}
+	}
+	return nil
+}
+
 // Append journals one ingest batch. Every pair is validated against the
 // session width (the log must never contain a record replay would reject);
 // outsized batches are split across records. Under SyncAlways the append has
@@ -494,14 +508,8 @@ func (l *Log) Append(pairs []Pair) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	mask := widthMask(l.meta.Width)
-	for _, p := range pairs {
-		if p.K <= 0 {
-			return fmt.Errorf("wal: non-positive shot count %d for outcome %b", p.K, p.X)
-		}
-		if p.X&^mask != 0 {
-			return fmt.Errorf("wal: outcome %b exceeds %d bits", p.X, l.meta.Width)
-		}
+	if err := checkPairs(pairs, l.meta.Width); err != nil {
+		return err
 	}
 	for len(pairs) > 0 {
 		chunk := pairs
@@ -547,17 +555,11 @@ func (l *Log) Compact(hist []Pair) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	mask := widthMask(l.meta.Width)
 	sorted := make([]Pair, len(hist))
 	copy(sorted, hist)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].X < sorted[j].X })
-	for _, p := range sorted {
-		if p.K <= 0 {
-			return fmt.Errorf("wal: non-positive snapshot count %d for outcome %b", p.K, p.X)
-		}
-		if p.X&^mask != 0 {
-			return fmt.Errorf("wal: snapshot outcome %b exceeds %d bits", p.X, l.meta.Width)
-		}
+	if err := checkPairs(sorted, l.meta.Width); err != nil {
+		return err
 	}
 	frames, err := sessionFrames(l.meta, sorted)
 	if err != nil {
@@ -637,17 +639,11 @@ func EncodeSession(meta SessionMeta, hist []Pair) ([]byte, error) {
 	if err := meta.validate(); err != nil {
 		return nil, err
 	}
-	mask := widthMask(meta.Width)
 	sorted := make([]Pair, len(hist))
 	copy(sorted, hist)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].X < sorted[j].X })
-	for _, p := range sorted {
-		if p.K <= 0 {
-			return nil, fmt.Errorf("wal: non-positive snapshot count %d for outcome %b", p.K, p.X)
-		}
-		if p.X&^mask != 0 {
-			return nil, fmt.Errorf("wal: snapshot outcome %b exceeds %d bits", p.X, meta.Width)
-		}
+	if err := checkPairs(sorted, meta.Width); err != nil {
+		return nil, err
 	}
 	return sessionFrames(meta, sorted)
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -374,5 +375,46 @@ func TestReplayBytesEdgeCases(t *testing.T) {
 	two := appendFrame(append([]byte(nil), good...), recCreate, []byte(`{"width":4}`))
 	if r := ReplayBytes(two); r.Records != 1 || !r.Torn {
 		t.Fatalf("double create: %+v", r)
+	}
+}
+
+// TestShotCap: a session's shots are capped at maxTotalShots (2^53, the
+// stream layer's cap). Replay folds a log filled exactly to the cap, and
+// rejects as forged any record that would cross it — including counts that
+// would wrap an int total — keeping the valid prefix. Writers refuse pair
+// counts replay would reject.
+func TestShotCap(t *testing.T) {
+	create := appendFrame(nil, recCreate, []byte(`{"width":4}`))
+	full := appendFrame(append([]byte(nil), create...), recBatch, encodePairs(nil, []Pair{{X: 1, K: maxTotalShots - 1}, {X: 2, K: 1}}))
+	if r := ReplayBytes(full); r.Torn || r.Shots != maxTotalShots || r.Counts[1] != maxTotalShots-1 {
+		t.Fatalf("log filled to the cap: %+v", r)
+	}
+	for name, pairs := range map[string][]Pair{
+		"one past a full log": {{X: 3, K: 1}},
+		"wrapping counts":     {{X: 3, K: math.MaxInt}, {X: 4, K: math.MaxInt}},
+	} {
+		b := appendFrame(append([]byte(nil), full...), recBatch, encodePairs(nil, pairs))
+		if r := ReplayBytes(b); !r.Torn || r.Records != 2 || r.Shots != maxTotalShots || r.Good != int64(len(full)) {
+			t.Errorf("%s: %+v", name, r)
+		}
+	}
+	wrap := appendFrame(append([]byte(nil), create...), recBatch, encodePairs(nil, []Pair{{X: 3, K: math.MaxInt}, {X: 4, K: math.MaxInt}}))
+	if r := ReplayBytes(wrap); !r.Torn || r.Records != 1 || r.Shots != 0 || len(r.Counts) != 0 {
+		t.Errorf("wrapping counts on an empty log: %+v", r)
+	}
+
+	s := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+	l, err := s.Create("cap", SessionMeta{Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]Pair{{X: 1, K: maxTotalShots + 1}}); err == nil {
+		t.Error("Append accepted a count past the cap")
+	}
+	if err := l.Compact([]Pair{{X: 1, K: maxTotalShots + 1}}); err == nil {
+		t.Error("Compact accepted a count past the cap")
+	}
+	if _, err := EncodeSession(SessionMeta{Width: 4}, []Pair{{X: 1, K: maxTotalShots + 1}}); err == nil {
+		t.Error("EncodeSession accepted a count past the cap")
 	}
 }

@@ -95,7 +95,8 @@ func (s *Stream) IngestN(shot string, k int) error {
 
 // IngestCounts merges a whole count histogram — one batch of shots in the
 // raw form quantum backends return — into the stream. All keys must be
-// NumBits wide; counts must be positive.
+// NumBits wide; counts must be positive, and the batch must not take the
+// stream past 2^53 shots.
 func (s *Stream) IngestCounts(counts map[string]int) error {
 	// Validate the whole batch before ingesting any of it, so a bad key
 	// cannot leave the stream half-updated.
@@ -104,6 +105,7 @@ func (s *Stream) IngestCounts(counts map[string]int) error {
 		k int
 	}
 	batch := make([]shot, 0, len(counts))
+	room := stream.MaxShots - s.inner.Shots()
 	for key, k := range counts {
 		x, err := s.parse(key)
 		if err != nil {
@@ -112,6 +114,10 @@ func (s *Stream) IngestCounts(counts map[string]int) error {
 		if k <= 0 {
 			return fmt.Errorf("hammer: non-positive count %d for %q", k, key)
 		}
+		if k > room {
+			return fmt.Errorf("hammer: batch would take the stream past %d shots", stream.MaxShots)
+		}
+		room -= k
 		batch = append(batch, shot{x, k})
 	}
 	for _, sh := range batch {
