@@ -141,7 +141,7 @@ func (inc *Incremental) Range(fn func(x bitstr.Bits, mass float64)) {
 // O(1): row invalidation is deferred to the next Snapshot so that a batch
 // touching m unique outcomes costs m neighborhood repairs, not one per shot.
 func (inc *Incremental) Add(x bitstr.Bits, mass float64) {
-	s, isNew := inc.ix.AddSlot(x, mass)
+	s, isNew := inc.ix.Add(x, mass)
 	if isNew {
 		inc.dirty = append(inc.dirty, false)
 	}

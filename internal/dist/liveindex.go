@@ -72,17 +72,12 @@ func (ix *LiveIndex) Mass(x bitstr.Bits) float64 {
 }
 
 // Add accumulates mass m onto outcome x, inserting it into its weight bucket
-// on first sight, and reports whether the outcome is new. Mass must be
-// non-negative; a zero-mass insert keeps the outcome in the support (HAMMER
-// distinguishes "observed with vanishing likelihood" from "never observed").
-func (ix *LiveIndex) Add(x bitstr.Bits, m float64) bool {
-	_, isNew := ix.AddSlot(x, m)
-	return isNew
-}
-
-// AddSlot is Add that also returns the outcome's slot. Slots are assigned
-// densely in first-sight order and never change.
-func (ix *LiveIndex) AddSlot(x bitstr.Bits, m float64) (slot int32, isNew bool) {
+// on first sight, and returns the outcome's slot and whether the outcome is
+// new. Slots are assigned densely in first-sight order and never change.
+// Mass must be non-negative; a zero-mass insert keeps the outcome in the
+// support (HAMMER distinguishes "observed with vanishing likelihood" from
+// "never observed").
+func (ix *LiveIndex) Add(x bitstr.Bits, m float64) (slot int32, isNew bool) {
 	if x&^bitstr.AllOnes(ix.n) != 0 {
 		panic(fmt.Sprintf("dist: outcome %b exceeds %d bits", x, ix.n))
 	}

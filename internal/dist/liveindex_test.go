@@ -9,10 +9,10 @@ import (
 
 func TestLiveIndexAddAndMass(t *testing.T) {
 	ix := NewLiveIndex(4)
-	if !ix.Add(0b1010, 3) {
+	if _, isNew := ix.Add(0b1010, 3); !isNew {
 		t.Error("first Add not reported new")
 	}
-	if ix.Add(0b1010, 2) {
+	if _, isNew := ix.Add(0b1010, 2); isNew {
 		t.Error("second Add reported new")
 	}
 	ix.Add(0b0001, 1)
@@ -178,7 +178,7 @@ func TestLiveIndexSlots(t *testing.T) {
 		{0b0011, 3, 0, false},
 		{0b0101, 4, 2, true},
 	} {
-		slot, isNew := ix.AddSlot(c.x, c.m)
+		slot, isNew := ix.Add(c.x, c.m)
 		if slot != c.slot || isNew != c.isNew {
 			t.Fatalf("add %d: slot %d new %v, want %d %v", i, slot, isNew, c.slot, c.isNew)
 		}

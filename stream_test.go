@@ -186,6 +186,10 @@ func TestStreamValidation(t *testing.T) {
 	if err := s.IngestCounts(map[string]int{"1111": 3, "11111": 1}); err == nil {
 		t.Error("mixed-width batch accepted")
 	}
+	// 2^53 is the stream's shot cap: either entry alone fits, both do not.
+	if err := s.IngestCounts(map[string]int{"0001": 1 << 53, "0011": 1}); err == nil {
+		t.Error("batch past the shot cap accepted")
+	}
 	if s.Shots() != 0 {
 		t.Errorf("failed ingests recorded shots: %d", s.Shots())
 	}
