@@ -141,12 +141,13 @@ type Neighbor struct {
 // written at the cursor, and the cursor advances only past those inside the
 // ball — so the outcome of the check costs no misprediction.
 func (ix *LiveIndex) Ball(x bitstr.Bits, maxD int, buf []Neighbor) []Neighbor {
+	xs := ix.xs
 	wx := bits.OnesCount64(x)
 	r := uint(maxD)
 	k := 0
 	for w := max(wx-maxD, 0); w <= min(wx+maxD, ix.n); w++ {
 		for _, s := range ix.buckets[w] {
-			d := bits.OnesCount64(x ^ ix.xs[s])
+			d := bits.OnesCount64(x ^ xs[s])
 			buf[k] = Neighbor{s, int32(d)}
 			var in int
 			if uint(d-1) < r {
